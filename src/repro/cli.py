@@ -196,7 +196,10 @@ def _cmd_generate(args) -> int:
 
 
 def _serve_multi(args) -> int:
-    """Multi-model serving: route a mixed stream through the router."""
+    """Serve a round-robin stream of every ``--model`` tenant through a router.
+
+    ``serve BENCH`` lands here too, as one tenant named after the benchmark.
+    """
     import numpy as np
 
     from repro.harness.experiments.common import sdgc_config
@@ -228,7 +231,7 @@ def _serve_multi(args) -> int:
         net = get_benchmark(benchmark)
         overrides = {} if args.threshold is None else {"threshold_layer": args.threshold}
         cfg = sdgc_config(net.num_layers, **overrides)
-        registry.register(
+        session = registry.register(
             name, net, config=cfg, warm=True, tracer=tracer,
             warm_state=args.warm_state,
             centroid_reuse=args.centroid_reuse, reuse_tolerance=args.reuse_tolerance,
@@ -236,6 +239,9 @@ def _serve_multi(args) -> int:
             slo=args.slo,
             qos=qos_map.get(name),
         )
+        if args.warm_state is not None:
+            log.info(f"  [{name}] booted warm from {args.warm_state} in "
+                     f"{session.warmup_seconds * 1e3:.1f} ms")
         streams[name] = _split_requests(
             np.asarray(get_input(benchmark, args.requests * args.request_cols, args.seed)),
             args.request_cols,
@@ -252,37 +258,28 @@ def _serve_multi(args) -> int:
             for y0 in s[offset : offset + chunk]:
                 mixed.append((name, y0))
         offset += chunk
+    interarrivals = None
+    if args.arrival_rate is not None:
+        interarrivals = poisson_interarrivals(len(mixed), args.arrival_rate, args.seed)
+    knobs = dict(
+        max_batch=args.max_batch, max_wait_s=args.max_wait_ms / 1e3,
+        queue_limit=args.queue_limit,
+    )
     if args.async_transport:
-        router = AsyncRouter(
-            registry, max_batch=args.max_batch, max_wait_s=args.max_wait_ms / 1e3,
-            queue_limit=args.queue_limit, on_full=args.on_full,
-        )
-        interarrivals = None
-        if args.arrival_rate is not None:
-            interarrivals = poisson_interarrivals(
-                len(mixed), args.arrival_rate, args.seed
-            )
-        report = router.serve(iter(mixed), interarrivals=interarrivals)
+        router = AsyncRouter(registry, on_full=args.on_full, **knobs)
     else:
-        if args.arrival_rate is not None:
-            log.warning("--arrival-rate needs --async-transport for multi-model; ignored")
-        router = Router(
-            registry, max_batch=args.max_batch, max_wait_s=args.max_wait_ms / 1e3,
-            queue_limit=args.queue_limit,
-        )
-        report = router.serve(iter(mixed))
+        router = Router(registry, **knobs)
+    report = router.serve(iter(mixed), interarrivals=interarrivals)
     summary = report.summary()
     transport = "async" if args.async_transport else "sync"
+    plural = "s" if len(models) != 1 else ""
     log.info(f"served {summary['served']}/{summary['requests']} requests "
              f"({summary['rejected']} rejected, status={summary['status']}) "
-             f"across {len(models)} models [{transport}] "
+             f"across {len(models)} model{plural} [{transport}] "
              f"in {summary['wall_seconds'] * 1e3:.1f} ms")
+    lanes = router.stats()["lanes"]
     for name, per in summary["models"].items():
-        lat = per["latency_seconds"]
-        p50 = f"{lat['p50'] * 1e3:7.2f} ms" if lat is not None else "   n/a"
-        log.info(f"  [{name}] {per['served']}/{per['requests']} served "
-                 f"(status={per['status']})  "
-                 f"{per['columns_per_second']:9.1f} col/s   p50 {p50}")
+        _log_tenant(name, per, lanes.get(name), registry.get(name), args.async_transport)
     if report.slo:
         for name, slo in report.slo.items():
             est = slo["latency_estimate_s"]
@@ -311,6 +308,35 @@ def _serve_multi(args) -> int:
         log.info(f"wrote Chrome trace to {path} ({len(tracer)} spans)")
     _finish_obs_endpoint(args, obs_server)
     return 0
+
+
+def _log_tenant(name: str, per: dict, lane: dict | None, session, overlap: bool) -> None:
+    """One tenant's throughput, latency, overlap, batching, reuse and stages."""
+    log.info(f"  [{name}] {per['served']}/{per['requests']} served "
+             f"({per['rejected']} rejected, status={per['status']})")
+    log.info(f"  [{name}] throughput   {per['requests_per_second']:9.1f} req/s   "
+             f"{per['columns_per_second']:9.1f} col/s")
+    lat = per["latency_seconds"]
+    if lat is not None:
+        log.info(f"  [{name}] latency      p50 {lat['p50'] * 1e3:7.2f} ms   "
+                 f"p95 {lat['p95'] * 1e3:7.2f} ms   max {lat['p100'] * 1e3:7.2f} ms")
+    if overlap:
+        log.info(f"  [{name}] overlap      {per['overlap_fraction']:.0%} of wall time busy "
+                 f"({per['exec_seconds'] * 1e3:.1f} ms executing, "
+                 f"{per['arrival_seconds'] * 1e3:.1f} ms arrival gaps, "
+                 f"{per['failed']} failed)")
+    if lane is not None:
+        log.info(f"  [{name}] batching     {lane['batches']} blocks, "
+                 f"mean fill {lane['mean_fill']:.0%} of {lane['max_batch']}")
+    if session.reuse is not None:
+        cache = session.reuse.stats()
+        outcomes = (lane or {}).get("reuse_blocks", {})
+        log.info(f"  [{name}] reuse        {cache['hits']} hits / "
+                 f"{cache['misses']} misses / "
+                 f"{sum(cache['invalidations'].values())} invalidations "
+                 f"(blocks: {outcomes or 'none'})")
+    for stage, seconds in session.stats()["stage_seconds"].items():
+        log.info(f"  [{name}]   {stage:18s} {seconds * 1e3:9.1f} ms")
 
 
 def _serve_fleet(args) -> int:
@@ -413,134 +439,25 @@ def _serve_fleet(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.harness.experiments.common import sdgc_config
-    from repro.harness.workloads import get_benchmark, get_input
-    from repro.serve import AsyncInferenceServer, EngineSession, InferenceServer
-    from repro.serve.bench import _split_requests, poisson_interarrivals
-
     if args.workers:
         if args.benchmark is None and not args.model:
             log.error("serve --workers needs a benchmark or --model NAME=BENCHMARK")
             return 2
         return _serve_fleet(args)
-    if args.model:
-        return _serve_multi(args)
-    if args.benchmark is None:
-        log.error("serve needs a benchmark, or at least one --model NAME=BENCHMARK")
-        return 2
-    if getattr(args, "qos", None):
-        log.warning("--qos applies to --model / --workers tenants; ignored "
-                    "for single-benchmark serving (one tenant, no contention)")
-    net = get_benchmark(args.benchmark)
-    overrides = {} if args.threshold is None else {"threshold_layer": args.threshold}
-    cfg = sdgc_config(net.num_layers, **overrides)
-    stream = _split_requests(
-        get_input(args.benchmark, args.requests * args.request_cols, args.seed),
-        args.request_cols,
-    )
-    interarrivals = None
-    if args.arrival_rate is not None:
-        interarrivals = poisson_interarrivals(len(stream), args.arrival_rate, args.seed)
-    tracer, registry = _make_obs(args)
-    session = EngineSession(
-        net, cfg, tracer=tracer, metrics=registry,
-        warm=args.warm_state is None,
-        centroid_reuse=args.centroid_reuse, reuse_tolerance=args.reuse_tolerance,
-        revise_ratio=args.revise_ratio,
-    )
-    if args.warm_state is not None:
-        manifest = session.load_warm_state(args.warm_state)
-        log.info(f"booted warm from {args.warm_state} "
-                 f"({manifest['dense_views']} dense / {manifest['ell_views']} ELL "
-                 f"views, {manifest['cache_entries']} cache fills) in "
-                 f"{session.warmup_seconds * 1e3:.1f} ms")
-    if args.async_transport:
-        server = AsyncInferenceServer(
-            session,
-            max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms / 1e3,
-            queue_limit=args.queue_limit,
-            on_full=args.on_full,
-        )
-    else:
-        server = InferenceServer(
-            session,
-            max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms / 1e3,
-            queue_limit=args.queue_limit,
-        )
-    slo_tracker = None
-    if args.slo:
-        from repro.obs import SloPolicy, SloTracker
-
-        slo_tracker = SloTracker(
-            SloPolicy.parse(args.slo),
-            metrics=getattr(session, "scoped", session.metrics),
-            name=args.benchmark,
-        )
-        # every resolved ticket (failures included) feeds the tracker
-        server.batcher.on_resolve = slo_tracker.record_ticket
-    obs_server = _start_obs_endpoint(
-        args,
-        session.metrics,
-        slo_provider=(
-            (lambda: {args.benchmark: slo_tracker.report().to_json()})
-            if slo_tracker is not None
-            else None
-        ),
-    )
-    report = server.serve(iter(stream), interarrivals=interarrivals)
-    summary = report.summary()
-    transport = "async" if args.async_transport else "sync"
-    log.info(f"served {summary['served']}/{summary['requests']} requests "
-             f"({summary['rejected']} rejected, status={summary['status']}) "
-             f"on {args.benchmark} [{transport}] "
-             f"in {summary['wall_seconds'] * 1e3:.1f} ms")
-    log.info(f"  throughput   {summary['requests_per_second']:9.1f} req/s   "
-             f"{summary['columns_per_second']:9.1f} col/s")
-    lat = summary["latency_seconds"]
-    if lat is not None:
-        log.info(f"  latency      p50 {lat['p50'] * 1e3:7.2f} ms   "
-                 f"p95 {lat['p95'] * 1e3:7.2f} ms   max {lat['p100'] * 1e3:7.2f} ms")
-    if args.async_transport:
-        log.info(f"  overlap      {summary['overlap_fraction']:.0%} of wall time busy "
-                 f"({summary['exec_seconds'] * 1e3:.1f} ms executing, "
-                 f"{summary['arrival_seconds'] * 1e3:.1f} ms arrival gaps, "
-                 f"{summary['failed']} failed)")
-    batcher = server.batcher.stats()
-    log.info(f"  batching     {batcher['batches']} blocks, "
-             f"mean fill {batcher['mean_fill']:.0%} of {batcher['max_batch']}")
-    if session.reuse is not None:
-        cache = session.reuse.stats()
-        outcomes = batcher.get("reuse_blocks", {})
-        log.info(f"  reuse        {cache['hits']} hits / {cache['misses']} misses / "
-                 f"{sum(cache['invalidations'].values())} invalidations "
-                 f"(blocks: {outcomes or 'none'})")
-    stage = session.stats()["stage_seconds"]
-    for name, seconds in stage.items():
-        log.info(f"  {name:18s} {seconds * 1e3:9.1f} ms")
-    if slo_tracker is not None:
-        slo = slo_tracker.report()
-        est = slo.latency_estimate_s
-        est_text = f"{est * 1e3:.2f} ms" if est is not None else "n/a"
-        log.info(f"  SLO          {slo.policy.describe()}: "
-                 f"p{slo.policy.quantile * 100:g}≈{est_text}, "
-                 f"burn {slo.burn_rate:.2f}, compliant={slo.compliant}")
-    # the session always keeps a registry; --metrics asks for the exposition
-    if args.metrics:
-        log.info(session.metrics.to_prometheus().rstrip("\n"))
-    if tracer is not None:
-        path = tracer.write_chrome(args.trace)
-        log.info(f"wrote Chrome trace to {path} ({len(tracer)} spans)")
-    _finish_obs_endpoint(args, obs_server)
-    return 0
+    if not args.model:
+        if args.benchmark is None:
+            log.error("serve needs a benchmark, or at least one --model NAME=BENCHMARK")
+            return 2
+        # single-benchmark serving is the one-tenant case of the router
+        args.model = [f"{args.benchmark}={args.benchmark}"]
+    return _serve_multi(args)
 
 
 def _cmd_warmup(args) -> int:
     """Save a warm-state artifact, or verify one loads (``--load``)."""
     import dataclasses
 
-    from repro.serve import EngineSession, InferenceServer
+    from repro.serve import EngineSession, ModelRegistry, Router
     from repro.serve.bench import _shape_stream, _split_requests, _tier_workload
 
     if (args.save is None) == (args.load is None):
@@ -577,11 +494,14 @@ def _cmd_warmup(args) -> int:
         # priming traffic teaches the session what warmup alone cannot:
         # centroid-cache fills with staleness baselines, per-bucket costs
         shaped = _shape_stream(pool, "repeat", args.max_batch)
-        server = InferenceServer(
-            session, max_batch=args.max_batch, max_wait_s=60.0,
-            queue_limit=prime,
+        registry = ModelRegistry()
+        registry.register(args.benchmark, session=session)
+        router = Router(
+            registry, max_batch=args.max_batch, max_wait_s=60.0, queue_limit=prime
         )
-        server.serve(iter(_split_requests(shaped, args.request_cols)))
+        router.serve(
+            (args.benchmark, y0) for y0 in _split_requests(shaped, args.request_cols)
+        )
     manifest = session.save_warm_state(args.save)
     log.info(f"saved {args.save} ({manifest['size_bytes']} bytes) for "
              f"{net.name} [{manifest['fingerprint']}]: "
@@ -874,8 +794,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--seed", type=int, default=1)
     serve_p.add_argument(
         "--async-transport", action="store_true",
-        help="serve through the threaded AsyncInferenceServer: arrivals "
-             "overlap block execution and max-wait flushes partial blocks",
+        help="serve through the threaded AsyncRouter: arrivals overlap "
+             "block execution and max-wait flushes partial blocks",
     )
     serve_p.add_argument(
         "--arrival-rate", type=float, default=None, metavar="RPS",
@@ -890,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument(
         "--slo", default=None, metavar="SPEC",
         help="latency SLO to track live, e.g. 'p99<50ms@60s/99%%'; applied "
-             "per tenant under --model, to the single benchmark otherwise",
+             "per tenant (the single benchmark is one tenant)",
     )
     serve_p.add_argument(
         "--warm-state", default=None, metavar="PATH",
@@ -905,8 +825,8 @@ def build_parser() -> argparse.ArgumentParser:
              "b='batch:w=2,rate=512,burst=1024' — priority class "
              "(interactive beats batch), deficit-round-robin weight, and a "
              "token-bucket rate limit in columns/second; tenants default to "
-             "interactive with weight 1 and no limit.  Applies to --model "
-             "and --workers tenants",
+             "interactive with weight 1 and no limit.  A single benchmark "
+             "is one tenant named after it",
     )
     _add_reuse_flags(serve_p)
     _add_obs_flags(serve_p)

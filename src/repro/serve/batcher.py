@@ -26,16 +26,17 @@ and the columns left empty, per tenant.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import deque
 
 import numpy as np
 
-from repro.errors import ServeOverflowError, ShapeError
+from repro.errors import ServeClosedError, ServeOverflowError, ShapeError
 from repro.inference import InferenceResult, sdgc_categories
 from repro.serve.session import EngineSession
 
-__all__ = ["MicroBatcher", "Ticket"]
+__all__ = ["AsyncTicket", "MicroBatcher", "Ticket"]
 
 
 class Ticket:
@@ -127,6 +128,141 @@ class Ticket:
         if self.stage_seconds is not None:
             out["stage_seconds"] = dict(self.stage_seconds)
         return out
+
+
+class AsyncTicket:
+    """Future-like handle for one request accepted by the async router.
+
+    :class:`~repro.serve.router.AsyncRouter` wraps each intake request in
+    one; the batcher's :class:`Ticket` becomes its ``inner`` ticket once the
+    worker enqueues the request.  Producers hold it; the worker thread
+    resolves it exactly once — with the request's output slice, with the
+    exception that killed its block, or with
+    :class:`~repro.errors.ServeClosedError` on an aborted shutdown.
+    """
+
+    __slots__ = (
+        "y0", "index", "submitted_at", "dequeued_at", "completed_at",
+        "inner", "_error", "_done", "_resolutions",
+    )
+
+    def __init__(self, y0: np.ndarray, submitted_at: float, index: int = 0):
+        self.y0 = y0
+        #: arrival order within its router lane (0-based)
+        self.index = index
+        self.submitted_at = submitted_at
+        #: when the worker pulled it off the intake queue
+        self.dequeued_at: float | None = None
+        self.completed_at: float | None = None
+        #: the batcher's inner ticket, once the worker enqueued the request
+        self.inner: Ticket | None = None
+        self._error: BaseException | None = None
+        self._done = threading.Event()
+        #: times the worker resolved this ticket (the invariant is == 1)
+        self._resolutions = 0
+
+    # ------------------------------------------------------------ producer
+    @property
+    def columns(self) -> int:
+        return self.y0.shape[1]
+
+    @property
+    def done(self) -> bool:
+        return self._done.is_set()
+
+    @property
+    def ready(self) -> bool:
+        return self.done and self._error is None
+
+    @property
+    def failed(self) -> bool:
+        return self._error is not None
+
+    @property
+    def exception(self) -> BaseException | None:
+        return self._error
+
+    def wait(self, timeout: float | None = None) -> bool:
+        """Block until resolved (or ``timeout`` seconds); True when done."""
+        return self._done.wait(timeout)
+
+    def result(self, timeout: float | None = None) -> np.ndarray:
+        """Block for and return this request's output slice ``Y(l)``.
+
+        Raises the block's exception if execution failed, TimeoutError if
+        the ticket is still unresolved after ``timeout`` seconds.
+        """
+        if not self._done.wait(timeout):
+            raise TimeoutError(f"request {self.index} unresolved after {timeout}s")
+        if self._error is not None:
+            raise self._error
+        return self.inner.y
+
+    @property
+    def y(self) -> np.ndarray:
+        """Non-blocking output access (same contract as the sync Ticket)."""
+        if self._error is not None:
+            raise self._error
+        if not self.done:
+            raise ServeOverflowError(
+                "ticket not resolved yet; wait() on it or close(drain=True) the router"
+            )
+        return self.inner.y
+
+    @property
+    def categories(self) -> np.ndarray:
+        return sdgc_categories(self.y)
+
+    @property
+    def batch_columns(self) -> int | None:
+        return self.inner.batch_columns if self.inner is not None else None
+
+    @property
+    def latency_seconds(self) -> float:
+        """Submit-to-resolve wall time (includes the intake-queue wait)."""
+        if self.completed_at is None:
+            raise ServeOverflowError("ticket not resolved yet")
+        return self.completed_at - self.submitted_at
+
+    @property
+    def queue_wait_seconds(self) -> float:
+        """Time spent in the intake queue before the worker picked it up."""
+        if self.dequeued_at is None:
+            raise ServeOverflowError("ticket not dequeued yet")
+        return self.dequeued_at - self.submitted_at
+
+    @property
+    def aid(self) -> int | None:
+        """The inner ticket's async-trace span id (None before enqueue)."""
+        return self.inner.aid if self.inner is not None else None
+
+    def breakdown(self) -> dict:
+        """Latency attribution, intake wait included.
+
+        The inner :class:`Ticket` knows batch wait, block execute time, and
+        per-stage seconds; this transport adds the producer-side component
+        it alone can see — ``queue_wait_seconds``, the time between
+        :meth:`~repro.serve.router.AsyncRouter.submit` and the worker
+        pulling the request off the intake queue.
+        """
+        out = self.inner.breakdown() if self.inner is not None else {}
+        out["queue_wait_seconds"] = (
+            self.dequeued_at - self.submitted_at
+            if self.dequeued_at is not None else None
+        )
+        return out
+
+    # -------------------------------------------------------------- worker
+    def _resolve(self, now: float, error: BaseException | None = None) -> None:
+        """Worker-side completion; must fire exactly once per ticket."""
+        self._resolutions += 1
+        if self._resolutions > 1:  # pragma: no cover - guarded invariant
+            raise ServeClosedError(
+                f"ticket {self.index} resolved {self._resolutions} times"
+            )
+        self._error = error
+        self.completed_at = now
+        self._done.set()
 
 
 class MicroBatcher:

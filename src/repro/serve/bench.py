@@ -3,8 +3,8 @@
 The cold path is today's ``run_engine`` usage — a fresh SNICIT engine per
 request, each request its own tiny batch.  The warm path is the serving
 stack this package adds: one :class:`~repro.serve.session.EngineSession`
-behind an :class:`~repro.serve.server.InferenceServer`, requests packed into
-SNICIT-sized blocks.  Results land in ``BENCH_serve.json`` so successive
+as the one tenant of a :class:`~repro.serve.router.Router`, requests packed
+into SNICIT-sized blocks.  Results land in ``BENCH_serve.json`` so successive
 PRs accumulate a machine-readable perf trajectory.
 
 The bench runs a *tier list* (schema 3): two SDGC depths plus a trained
@@ -61,8 +61,7 @@ from repro.harness.experiments.common import sdgc_config
 from repro.harness.runner import run_engine
 from repro.harness.workloads import get_benchmark, get_input
 from repro.obs import Tracer
-from repro.serve.async_server import AsyncInferenceServer
-from repro.serve.server import InferenceServer
+from repro.serve.router import AsyncRouter, ModelRegistry, Router
 from repro.serve.session import EngineSession
 
 __all__ = [
@@ -186,19 +185,41 @@ def _tier_workload(tier: str, total_cols: int, seed: int):
     return net, sdgc_config(net.num_layers), np.asarray(get_input(source, total_cols, seed))
 
 
+#: tenant name of the one-tenant routers single streams are served through
+_TENANT = "tier"
+
+
+def _serve_one(session, stream, max_batch, interarrivals=None, router_cls=Router):
+    """Serve ``stream`` on ``session`` as the one tenant of a fresh router.
+
+    ``max_wait_s`` is high and the lane holds the whole stream, so both
+    router classes pack identical blocks.  Returns the tenant's
+    :class:`~repro.serve.router.ServeReport` and its lane's batcher stats.
+    """
+    registry = ModelRegistry()
+    registry.register(_TENANT, session=session)
+    router = router_cls(
+        registry, max_batch=max_batch, max_wait_s=60.0, queue_limit=len(stream)
+    )
+    report = router.serve(
+        ((_TENANT, y0) for y0 in stream), interarrivals=interarrivals
+    )
+    return report.per_model[_TENANT], router.stats()["lanes"][_TENANT]
+
+
 def _warm_pass(
     net, cfg, stream, max_batch, tracer=None, centroid_reuse=False, reuse_tolerance=0.5
 ):
-    """One full serve of ``stream`` through a fresh warm session."""
+    """One full serve of ``stream`` through a fresh warm session.
+
+    Returns ``(session, lane batcher stats, tenant report)``.
+    """
     session = EngineSession(
         net, cfg, tracer=tracer,
         centroid_reuse=centroid_reuse, reuse_tolerance=reuse_tolerance,
     )
-    server = InferenceServer(
-        session, max_batch=max_batch, max_wait_s=60.0, queue_limit=len(stream)
-    )
-    report = server.serve(iter(stream))
-    return session, server, report
+    report, lane = _serve_one(session, stream, max_batch)
+    return session, lane, report
 
 
 def _async_ab(
@@ -222,23 +243,15 @@ def _async_ab(
         rate = 1.0 / per_request if per_request > 0 else 1000.0
     gaps = poisson_interarrivals(len(stream), rate, seed)
 
-    s_session = EngineSession(net, cfg)
-    s_server = InferenceServer(
-        s_session, max_batch=max_batch, max_wait_s=60.0, queue_limit=len(stream)
+    s_report, _ = _serve_one(EngineSession(net, cfg), stream, max_batch, gaps)
+    a_report, _ = _serve_one(
+        EngineSession(net, cfg), stream, max_batch, gaps, router_cls=AsyncRouter
     )
-    s_report = s_server.serve(iter(stream), interarrivals=gaps)
-
-    a_session = EngineSession(net, cfg)
-    a_server = AsyncInferenceServer(
-        a_session, max_batch=max_batch, max_wait_s=60.0, queue_limit=len(stream)
-    )
-    a_report = a_server.serve(iter(stream), interarrivals=gaps)
 
     sync_y = np.hstack([t.y for t in s_report.served])
-    a_served = sorted(a_report.served, key=lambda t: t.index)
-    async_y = np.hstack([t.y for t in a_served])
+    async_y = np.hstack([t.y for t in a_report.served])
     sync_cats = np.concatenate([t.categories for t in s_report.served])
-    async_cats = np.concatenate([t.categories for t in a_served])
+    async_cats = np.concatenate([t.categories for t in a_report.served])
     ref_cats = np.concatenate([t.categories for t in reference_served])
     return {
         "arrival_rate_rps": rate,
@@ -299,7 +312,7 @@ def _run_tier(
     # the warm session's warmup also pre-builds the shared weight views the
     # cold path will then hit through the network cache, so the comparison
     # isolates steady-state serving cost (engine construction + packing)
-    session, server, report = _warm_pass(net, cfg, stream, max_batch, tracer=tracer)
+    session, lane, report = _warm_pass(net, cfg, stream, max_batch, tracer=tracer)
 
     t0 = time.perf_counter()
     cold_runs = [run_engine("snicit", net, y0, snicit_config=cfg) for y0 in stream]
@@ -359,7 +372,7 @@ def _run_tier(
             "columns_per_second": report.columns_per_second,
             "latency_seconds": report.latency_quantiles(),
             "rejected": len(report.rejected),
-            "batcher": server.batcher.stats(),
+            "batcher": lane,
             # one-time costs, reported apart from steady-state throughput
             "first_block": first_block,
             "steady_state": steady_state,
@@ -393,7 +406,7 @@ def _run_tier(
         )
 
     if centroid_reuse:
-        r_session, r_server, r_report = _warm_pass(
+        r_session, r_lane, r_report = _warm_pass(
             net, cfg, stream, max_batch,
             centroid_reuse=True, reuse_tolerance=reuse_tolerance,
         )
@@ -409,7 +422,7 @@ def _run_tier(
                 "latency_seconds": r_report.latency_quantiles(),
             },
             "cache": r_session.reuse.stats(),
-            "reuse_blocks": dict(r_server.batcher.reuse_outcomes),
+            "reuse_blocks": r_lane.get("reuse_blocks", {}),
             "outputs_identical": bool(np.array_equal(on_y, off_y)),
             "categories_match": bool((on_cats == warm_cats).all()),
             "speedup_vs_warm": (
@@ -454,8 +467,6 @@ def _run_multi(
     change served outputs: the single-tenant references run *without*
     trackers, and the mixed run must still match them bitwise.
     """
-    from repro.serve.router import ModelRegistry, Router
-
     budget_bytes = (
         int(memory_budget_mb * 1024 * 1024) if memory_budget_mb is not None else None
     )
@@ -472,10 +483,9 @@ def _run_multi(
     # single-tenant references: same stream, same batcher geometry, no
     # neighbors — the bar the mixed run must match bitwise
     for name, tenant in tenants.items():
-        session, server, report = _warm_pass(
+        _, _, tenant["reference"] = _warm_pass(
             tenant["net"], tenant["cfg"], tenant["stream"], max_batch
         )
-        tenant["reference"] = report
         tenant["net"].drop_views()  # hand the views back cold to the router
 
     registry = ModelRegistry(memory_budget_bytes=budget_bytes)
@@ -583,8 +593,6 @@ def _balanced_streams(count: int, workers: int) -> list[str]:
 
 def _single_process_reference(net, cfg, items, max_batch) -> dict:
     """Per-stream hstacked outputs from one in-process stream-lane router."""
-    from repro.serve.router import AsyncRouter, ModelRegistry
-
     net.drop_views()
     registry = ModelRegistry()
     registry.register("m", net, config=cfg, warm=True)
@@ -669,10 +677,7 @@ def _run_warm_boot(
         )
 
     def serve(session):
-        server = InferenceServer(
-            session, max_batch=max_batch, max_wait_s=60.0, queue_limit=len(stream)
-        )
-        report = server.serve(iter(stream))
+        report, _ = _serve_one(session, stream, max_batch)
         return np.hstack([t.y for t in report.served])
 
     # ---- cold boot: bake the plan, then learn from the priming pass
@@ -942,7 +947,6 @@ def _qos_pass(tenants, submissions, max_batch, policy):
     from first submit to drained.
     """
     from repro.errors import ServeShedError
-    from repro.serve.router import AsyncRouter, ModelRegistry
 
     registry = ModelRegistry()
     for name, tenant in tenants.items():

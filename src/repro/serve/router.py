@@ -1,6 +1,8 @@
-"""Multi-network serving: a model registry, a router, and a memory budget.
+"""The serving core: a model registry, two routers, and a memory budget.
 
-One serving process, many warm networks.  Three pieces compose the story:
+One serving process, one or many warm networks.  Single-model serving is
+the one-tenant case of the same routers, so there is exactly one request
+path.  Three pieces compose the story:
 
 * :class:`ModelRegistry` owns named :class:`~repro.serve.session.
   EngineSession`\\ s — ``register``/``evict`` by name, lazy or eager warmup —
@@ -18,11 +20,14 @@ One serving process, many warm networks.  Three pieces compose the story:
   (:mod:`repro.serve.fleet`) shard replicated tenants across workers
   without perturbing outputs: a stream's packing depends only on its own
   request order, never on which process serves it or what its neighbors
-  do.  The sync router is the :class:`~repro.serve.server.
-  InferenceServer` loop generalized; the async router keeps the threaded
-  transport's shape — producers enqueue from any thread, **one worker
-  drains all tenants** — with per-tenant intake bounds, so one tenant's
-  burst rejects (or blocks) only its own lane;
+  do.  :class:`Router` is the synchronous bounded-queue loop: a caller
+  submits, full blocks flush inline, and the caller drives the max-wait
+  deadline through :meth:`Router.step`.  :class:`AsyncRouter` is the
+  threaded transport — producers enqueue from any thread, **one worker
+  drains all tenants** while new arrivals accumulate — with per-tenant
+  intake bounds, so one tenant's burst rejects (or blocks) only its own
+  lane.  Both return one :class:`RouterReport` holding a
+  :class:`ServeReport` per tenant;
 * a :class:`~repro.gpu.memory.MemoryBudget` meters retained bytes across
   every tenant's warm state (scratch pool, pinned weight views, cached
   centroids).  When the sum exceeds the budget the registry demotes the
@@ -49,18 +54,26 @@ from repro.gpu.memory import MemoryBudget
 from repro.obs import MetricsRegistry
 from repro.obs.export import json_safe
 from repro.obs.slo import SloPolicy, SloTracker
-from repro.serve.async_server import AsyncServeReport, AsyncTicket
-from repro.serve.batcher import MicroBatcher, Ticket
+from repro.serve.batcher import AsyncTicket, MicroBatcher, Ticket
 from repro.serve.qos import AdmissionController, DeficitScheduler, QosPolicy
-from repro.serve.server import ServeReport
 from repro.serve.session import EngineSession
 
-__all__ = ["ModelRegistry", "Router", "AsyncRouter", "RouterReport"]
+__all__ = [
+    "ModelRegistry",
+    "Router",
+    "AsyncRouter",
+    "RouterReport",
+    "ServeReport",
+    "BACKPRESSURE_POLICIES",
+]
 
 #: Lane service policies: ``'qos'`` is class-priority + deficit-weighted
 #: round robin with admission control; ``'fifo'`` is the legacy
 #: registration-order service with no admission (the A/B control arm).
 SCHEDULER_POLICIES = ("qos", "fifo")
+
+#: what :meth:`AsyncRouter.submit` does on a full intake lane
+BACKPRESSURE_POLICIES = ("reject", "block")
 
 
 def _unpack_request(item):
@@ -97,6 +110,24 @@ def _request_columns(y0) -> int:
     """Column count of a raw request, before full validation."""
     arr = np.asarray(y0)
     return int(arr.shape[1]) if arr.ndim >= 2 else 1
+
+
+def _sleep_gap(gaps) -> float:
+    """Sleep the next open-loop interarrival gap; returns its length."""
+    gap = float(next(gaps, 0.0))
+    if gap > 0:
+        time.sleep(gap)
+    return gap
+
+
+def _finish_report(router, report, t0: float, exec_before: dict, demotions_before: int):
+    """Stamp wall time, per-tenant exec seconds, demotions and SLO on a report."""
+    report.wall_seconds = time.perf_counter() - t0
+    for model, per in report.per_model.items():
+        per.wall_seconds = report.wall_seconds
+        per.exec_seconds = router._exec.get(model, 0.0) - exec_before.get(model, 0.0)
+    report.demoted = router.registry.demotions[demotions_before:]
+    report.slo = router.registry.slo_report_json() or None
 
 
 class ModelRegistry:
@@ -369,20 +400,109 @@ class ModelRegistry:
 
 
 @dataclass
-class RouterReport:
-    """Outcome of one mixed-traffic stream, per tenant plus merged.
+class ServeReport:
+    """One tenant's outcome of one request stream through a router.
 
-    The merged view honors each tenant's own
-    :attr:`~repro.serve.server.ServeReport.status` instead of judging
-    globally: an idle tenant (``no_traffic``) does not drag a healthy run,
-    and one fully-shed tenant does not hide behind another's successes —
-    mixed outcomes merge to ``'degraded'``, not ``'ok'``.
+    ``exec_seconds`` is the time the router spent packing and executing this
+    tenant's blocks, ``arrival_seconds`` the interarrival sleep injected
+    before its requests.  ``overlap_fraction`` near 1.0 means the engine was
+    busy with this tenant for the whole stream; under the async router
+    that means arrivals were hidden behind execution, under the sync router
+    it is plain busy time, since a synchronous loop cannot overlap them.
+    """
+
+    served: list = field(default_factory=list)
+    #: (stream index, error message) per rejected request — never silent
+    rejected: list[tuple[int, str]] = field(default_factory=list)
+    #: (stream index, error message) per accepted-then-failed request
+    failed: list[tuple[int, str]] = field(default_factory=list)
+    wall_seconds: float = 0.0
+    exec_seconds: float = 0.0
+    arrival_seconds: float = 0.0
+
+    @property
+    def requests(self) -> int:
+        return len(self.served) + len(self.rejected) + len(self.failed)
+
+    @property
+    def columns(self) -> int:
+        return sum(t.columns for t in self.served)
+
+    @property
+    def requests_per_second(self) -> float:
+        return len(self.served) / self.wall_seconds if self.wall_seconds > 0 else 0.0
+
+    @property
+    def columns_per_second(self) -> float:
+        return self.columns / self.wall_seconds if self.wall_seconds > 0 else 0.0
+
+    @property
+    def overlap_fraction(self) -> float:
+        return self.exec_seconds / self.wall_seconds if self.wall_seconds > 0 else 0.0
+
+    @property
+    def status(self) -> str:
+        """``'ok'``, ``'all_rejected'``, ``'all_failed'`` or ``'no_traffic'``.
+
+        A zero ``requests_per_second`` is ambiguous on its own: an idle
+        stream and a stream shed entirely by backpressure both report 0.0.
+        The status names which one happened, so dashboards and tests can
+        tell "nothing arrived" from "everything was turned away".
+        """
+        if self.requests == 0:
+            return "no_traffic"
+        if not self.served:
+            return "all_rejected" if not self.failed else "all_failed"
+        return "ok"
+
+    def latency_quantiles(self, qs=(0.5, 0.95, 0.99, 1.0)) -> dict[str, float] | None:
+        """Latency quantiles of served requests; ``None`` when none served
+        (an all-rejected or idle stream has no latencies, not zero ones)."""
+        if not self.served:
+            return None
+        lat = np.array([t.latency_seconds for t in self.served])
+        return {f"p{int(q * 100)}": float(np.quantile(lat, q)) for q in qs}
+
+    def summary(self) -> dict:
+        return {
+            "status": self.status,
+            "requests": self.requests,
+            "served": len(self.served),
+            "rejected": len(self.rejected),
+            "failed": len(self.failed),
+            "columns": self.columns,
+            "wall_seconds": self.wall_seconds,
+            "exec_seconds": self.exec_seconds,
+            "arrival_seconds": self.arrival_seconds,
+            "overlap_fraction": self.overlap_fraction,
+            "requests_per_second": self.requests_per_second,
+            "columns_per_second": self.columns_per_second,
+            "latency_seconds": self.latency_quantiles(),
+        }
+
+    def to_json(self) -> dict:
+        """:meth:`summary` with every value coerced JSON-serializable.
+
+        The quantiles come out of ``np.quantile`` as numpy scalars; this is
+        the path report consumers (bench records, the ``/slo`` endpoint)
+        must use before ``json.dumps``.
+        """
+        return json_safe(self.summary())
+
+
+@dataclass
+class RouterReport:
+    """Outcome of one request stream, per tenant plus merged.
+
+    The merged view honors each tenant's own :attr:`ServeReport.status`
+    instead of judging globally: an idle tenant (``no_traffic``) does not
+    drag a healthy run, and one fully-shed tenant does not hide behind
+    another's successes — mixed outcomes merge to ``'degraded'``, not
+    ``'ok'``.  Exec and arrival seconds are the sums over tenants.
     """
 
     per_model: dict[str, ServeReport] = field(default_factory=dict)
     wall_seconds: float = 0.0
-    #: worker busy seconds (async transport only; 0.0 for the sync router)
-    exec_seconds: float = 0.0
     #: tenants demoted warm-to-cold by budget enforcement during the stream
     demoted: list[str] = field(default_factory=list)
     #: per-tenant SLO evaluation (JSON blocks from the registry's trackers);
@@ -401,6 +521,22 @@ class RouterReport:
     @property
     def rejected(self) -> int:
         return sum(len(r.rejected) for r in self.per_model.values())
+
+    @property
+    def failed(self) -> int:
+        return sum(len(r.failed) for r in self.per_model.values())
+
+    @property
+    def exec_seconds(self) -> float:
+        return sum(r.exec_seconds for r in self.per_model.values())
+
+    @property
+    def arrival_seconds(self) -> float:
+        return sum(r.arrival_seconds for r in self.per_model.values())
+
+    @property
+    def overlap_fraction(self) -> float:
+        return self.exec_seconds / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
     @property
     def columns(self) -> int:
@@ -467,8 +603,12 @@ class RouterReport:
             "requests": self.requests,
             "served": self.served,
             "rejected": self.rejected,
+            "failed": self.failed,
             "columns": self.columns,
             "wall_seconds": self.wall_seconds,
+            "exec_seconds": self.exec_seconds,
+            "arrival_seconds": self.arrival_seconds,
+            "overlap_fraction": self.overlap_fraction,
             "columns_per_second": self.columns_per_second,
             "latency_seconds": self.latency_quantiles(),
             "latency_seconds_per_model": self.per_model_quantiles(),
@@ -487,13 +627,15 @@ class RouterReport:
 
 
 class Router:
-    """Synchronous multi-tenant front end: one batcher lane per model.
+    """Synchronous front end: one bounded batcher lane per model.
 
-    The single-tenant :class:`~repro.serve.server.InferenceServer` loop,
-    generalized: ``submit(model, y0)`` routes by name into the model's own
+    ``submit(model, y0)`` routes by name into the model's own
     :class:`~repro.serve.batcher.MicroBatcher` (created on first use), so
-    blocks never mix tenants.  After every flush opportunity the registry's
-    memory budget is enforced, protecting the tenant that just served.
+    blocks never mix tenants; a full lane rejects with
+    :class:`~repro.errors.ServeOverflowError`, counted per tenant in
+    ``serve_rejected_total``.  Single-model serving is a registry with one
+    tenant.  After every flush opportunity the registry's memory budget is
+    enforced, protecting the tenant that just served.
 
     Which lane flushes next is decided by a
     :class:`~repro.serve.qos.DeficitScheduler` under ``policy='qos'``
@@ -542,6 +684,8 @@ class Router:
             else None
         )
         self._lanes: dict[tuple[str, str | None], MicroBatcher] = {}
+        #: seconds spent flushing blocks, per model
+        self._exec: dict[str, float] = {}
 
     def lane(self, model: str, stream: str | None = None) -> MicroBatcher:
         """The ``(model, stream)`` batcher, created on first use.
@@ -660,7 +804,13 @@ class Router:
             key = self._pick(candidates)
             model, _stream = key
             batcher = self._lanes[key]
-            flushed = batcher.flush_one(reason=reasons[key])
+            t0 = time.perf_counter()
+            try:
+                flushed = batcher.flush_one(reason=reasons[key])
+            finally:
+                self._exec[model] = (
+                    self._exec.get(model, 0.0) + time.perf_counter() - t0
+                )
             if flushed:
                 n += 1
                 self.registry.touch(model)
@@ -668,25 +818,33 @@ class Router:
             if not batcher.pending_requests:
                 self.scheduler.reset(key)
 
-    def serve(self, requests) -> RouterReport:
-        """Run a mixed stream of ``(model, y0)`` or ``(model, stream, y0)``."""
+    def serve(self, requests, interarrivals=None) -> RouterReport:
+        """Run a stream of ``(model, y0)`` or ``(model, stream, y0)`` to completion.
+
+        Rejected requests are recorded with their error message; everything
+        else resolves by the time the report is returned.  ``interarrivals``
+        (optional, one float per request) makes the stream open-loop: the
+        loop sleeps that long *before* each submit.  This loop cannot
+        overlap those gaps with block execution; :meth:`AsyncRouter.serve`
+        can, and ``bench-serve``'s sync-vs-async A/B measures the difference.
+        """
         report = RouterReport()
         demotions_before = len(self.registry.demotions)
+        exec_before = dict(self._exec)
+        gaps = iter(interarrivals) if interarrivals is not None else None
         t0 = time.perf_counter()
         for index, item in enumerate(requests):
             model, stream, y0 = _unpack_request(item)
             per = report.per_model.setdefault(model, ServeReport())
+            if gaps is not None:
+                per.arrival_seconds += _sleep_gap(gaps)
             try:
                 per.served.append(self.submit(model, y0, stream=stream))
             except ServeOverflowError as exc:
                 per.rejected.append((index, str(exc)))
             self.step()
         self.drain()
-        report.wall_seconds = time.perf_counter() - t0
-        for per in report.per_model.values():
-            per.wall_seconds = report.wall_seconds
-        report.demoted = self.registry.demotions[demotions_before:]
-        report.slo = self.registry.slo_report_json() or None
+        _finish_report(self, report, t0, exec_before, demotions_before)
         return report
 
     def stats(self) -> dict:
@@ -706,29 +864,78 @@ class Router:
         }
 
 
+class _TenantMeter:
+    """One tenant's intake telemetry, shared by all of its stream lanes.
+
+    The series sit on the session's per-tenant view (``{model=...}`` for a
+    registry-built session), next to its batcher's ``serve_*`` series.  An
+    intake rejection is a queue-overflow rejection, so it counts in the
+    batcher's ``serve_rejected_total`` rather than a series of its own.
+    """
+
+    __slots__ = ("submitted", "rejected", "failed", "resolved", "intake", "overlap")
+
+    def __init__(self, metrics):
+        self.submitted = metrics.counter(
+            "async_submitted_total", help="requests accepted into an intake lane"
+        )
+        self.rejected = metrics.counter(
+            "serve_rejected_total", help="requests rejected on queue overflow"
+        )
+        self.failed = metrics.counter(
+            "async_failed_total", help="accepted requests resolved with an exception"
+        )
+        self.resolved = metrics.counter(
+            "async_resolved_total", help="tickets resolved back to their producers"
+        )
+        self.intake = metrics.gauge(
+            "async_intake_depth", help="requests waiting in the tenant's intake lanes"
+        )
+        self.overlap = metrics.gauge(
+            "async_overlap_fraction",
+            help="worker seconds on this tenant's blocks / wall seconds since "
+                 "the router started",
+        )
+
+    def fail(self, tickets, now: float, error: BaseException) -> None:
+        """Resolve tickets that never ran with ``error``, and count them."""
+        tickets = list(tickets)
+        for ticket in tickets:
+            ticket._resolve(now, error=error)
+        self.resolved.inc(len(tickets))
+        self.failed.inc(len(tickets))
+
+
 class _AsyncLane:
     """Per-``(model, stream)`` state of the async router."""
 
-    __slots__ = ("model", "stream", "batcher", "intake", "inflight", "accepted")
+    __slots__ = ("model", "stream", "batcher", "meter", "intake", "inflight", "accepted")
 
-    def __init__(self, model: str, stream: str | None, batcher: MicroBatcher):
+    def __init__(
+        self, model: str, stream: str | None, batcher: MicroBatcher, meter: _TenantMeter
+    ):
         self.model = model
         self.stream = stream
         self.batcher = batcher
+        self.meter = meter
         self.intake: deque[AsyncTicket] = deque()
         self.inflight: deque[AsyncTicket] = deque()
         self.accepted = 0
 
 
 class AsyncRouter:
-    """Threaded multi-tenant front end: one worker drains all tenants.
+    """Threaded front end: arrivals overlap block execution.
 
-    The :class:`~repro.serve.async_server.AsyncInferenceServer` transport
-    generalized to many models: producers ``submit(model, y0)`` from any
-    thread into that tenant's own bounded intake lane — backpressure is per
-    tenant, so one tenant's burst rejects (``on_full='reject'``) or blocks
-    (``'block'``) only its own producers — while a single consumer worker
-    services the lanes one block at a time on each tenant's warm session.
+    Producers ``submit(model, y0)`` from any thread into that tenant's own
+    bounded intake lane and get a future-like
+    :class:`~repro.serve.batcher.AsyncTicket` back at once — backpressure
+    is per tenant, so one tenant's burst rejects (``on_full='reject'``) or
+    blocks (``'block'``) only its own producers — while a single consumer
+    worker services the lanes one block at a time on each tenant's warm
+    session.  New arrivals land in the intake *while* a block runs, so the
+    ``max_wait_s`` flush is load-bearing, and each tenant's overlap
+    fraction (worker seconds on its blocks over wall seconds) is published
+    as ``async_overlap_fraction``.
     Which lane runs next is the :class:`~repro.serve.qos.DeficitScheduler`'s
     call under ``policy='qos'`` (interactive before batch, deficit-weighted
     within a class; new arrivals re-ingested between blocks, so an
@@ -737,6 +944,12 @@ class AsyncRouter:
     batch-first pressure shedding) runs inside ``submit`` under ``'qos'``.
     Blocks never mix tenants; the memory budget is enforced between
     blocks, protecting the tenant that just ran.
+
+    Failure routing: a block that raises resolves exactly the tickets that
+    rode in it with that exception, and the router stays serviceable.
+    :meth:`close` either drains every accepted ticket or aborts, resolving
+    the not-yet-run remainder with :class:`~repro.errors.ServeClosedError`
+    — accepted requests always resolve, one way or the other.
     """
 
     def __init__(
@@ -751,8 +964,6 @@ class AsyncRouter:
         queue_pressure_requests: int | None = None,
         burn_threshold: float | None = None,
     ):
-        from repro.serve.async_server import BACKPRESSURE_POLICIES
-
         if on_full not in BACKPRESSURE_POLICIES:
             raise ConfigError(
                 f"unknown backpressure policy {on_full!r}; known: {BACKPRESSURE_POLICIES}"
@@ -785,7 +996,11 @@ class AsyncRouter:
         self._space = threading.Condition(self._lock)
         self._closed = False
         self._abort = False
-        self._exec_seconds = 0.0
+        self._meters: dict[str, _TenantMeter] = {}
+        #: worker seconds spent flushing blocks, per model (keys are added
+        #: under the lock at lane creation; the worker only updates values)
+        self._exec: dict[str, float] = {}
+        self._started_at = time.perf_counter()
         self._worker = threading.Thread(
             target=self._worker_loop, name="repro-router-worker", daemon=True
         )
@@ -799,6 +1014,12 @@ class AsyncRouter:
         lane = self._lanes.get(key)
         if lane is None:
             session = self.registry.get(model)
+            meter = self._meters.get(model)
+            if meter is None:
+                meter = self._meters[model] = _TenantMeter(
+                    getattr(session, "scoped", None) or session.metrics
+                )
+                self._exec[model] = 0.0
             lane = _AsyncLane(
                 model,
                 stream,
@@ -809,6 +1030,7 @@ class AsyncRouter:
                     max_pending=self.queue_limit + self.max_batch + 1,
                     clock=self.clock,
                 ),
+                meter,
             )
             self._lanes[key] = lane
             qos = self.registry.qos_policy(model)
@@ -853,6 +1075,7 @@ class AsyncRouter:
                 )
             if len(lane.intake) >= self.queue_limit:
                 if self.on_full == "reject":
+                    lane.meter.rejected.inc()
                     raise ServeOverflowError(
                         f"lane {_lane_label(model, stream)!r} full "
                         f"({self.queue_limit} requests); request rejected"
@@ -864,6 +1087,8 @@ class AsyncRouter:
             ticket = AsyncTicket(y0, self.clock(), index=lane.accepted)
             lane.accepted += 1
             lane.intake.append(ticket)
+            lane.meter.submitted.inc()
+            lane.meter.intake.inc()
             self._arrived.notify()
         return ticket
 
@@ -876,6 +1101,9 @@ class AsyncRouter:
             self._arrived.notify_all()
             self._space.notify_all()
         self._worker.join(timeout)
+        wall = time.perf_counter() - self._started_at
+        for model, meter in self._meters.items():
+            meter.overlap.set(self._exec[model] / wall)
         return not self._worker.is_alive()
 
     def __enter__(self) -> "AsyncRouter":
@@ -886,19 +1114,24 @@ class AsyncRouter:
 
     # ------------------------------------------------------------ streaming
     def serve(self, requests, interarrivals=None) -> RouterReport:
-        """Submit a mixed open-loop stream, drain, and report per tenant."""
+        """Submit an open-loop stream, drain, close, and report per tenant.
+
+        ``interarrivals`` (one float per request, e.g. Poisson gaps from
+        :func:`repro.serve.bench.poisson_interarrivals`) paces the stream:
+        the submitting thread sleeps each gap while the worker keeps
+        executing — the overlap the synchronous :class:`Router` cannot have.
+        """
         report = RouterReport()
         demotions_before = len(self.registry.demotions)
+        exec_before = dict(self._exec)
         gaps = iter(interarrivals) if interarrivals is not None else None
         tickets: list[tuple[str, int, AsyncTicket]] = []
         t0 = time.perf_counter()
         for index, item in enumerate(requests):
             model, stream, y0 = _unpack_request(item)
+            per = report.per_model.setdefault(model, ServeReport())
             if gaps is not None:
-                gap = float(next(gaps, 0.0))
-                if gap > 0:
-                    time.sleep(gap)
-            per = report.per_model.setdefault(model, AsyncServeReport())
+                per.arrival_seconds += _sleep_gap(gaps)
             try:
                 tickets.append((model, index, self.submit(model, y0, stream=stream)))
             except (ServeOverflowError, ServeClosedError) as exc:
@@ -910,12 +1143,7 @@ class AsyncRouter:
                 per.failed.append((index, str(ticket.exception)))
             else:
                 per.served.append(ticket)
-        report.wall_seconds = time.perf_counter() - t0
-        report.exec_seconds = self._exec_seconds
-        for per in report.per_model.values():
-            per.wall_seconds = report.wall_seconds
-        report.demoted = self.registry.demotions[demotions_before:]
-        report.slo = self.registry.slo_report_json() or None
+        _finish_report(self, report, t0, exec_before, demotions_before)
         return report
 
     # -------------------------------------------------------------- worker
@@ -935,6 +1163,7 @@ class AsyncRouter:
             if lane.intake:
                 items = list(lane.intake)
                 lane.intake.clear()
+                lane.meter.intake.dec(len(items))
                 grabbed.append((lane, items))
         if grabbed:
             self._space.notify_all()
@@ -959,7 +1188,7 @@ class AsyncRouter:
                     # cannot happen for validated requests under the
                     # sized batcher cap, but an accepted ticket must
                     # still resolve
-                    ticket._resolve(self.clock(), error=exc)
+                    lane.meter.fail([ticket], self.clock(), exc)
                     continue
                 lane.inflight.append(ticket)
 
@@ -1056,7 +1285,9 @@ class AsyncRouter:
             # tickets before re-raising; _sweep hands it to producers
             ran = True
         finally:
-            self._exec_seconds += time.perf_counter() - t0
+            now = time.perf_counter()
+            self._exec[model] += now - t0
+            lane.meter.overlap.set(self._exec[model] / (now - self._started_at))
         self._sweep(lane)
         if ran:
             self.registry.touch(model)
@@ -1066,9 +1297,12 @@ class AsyncRouter:
         """Resolve the lane's inflight prefix whose inner tickets are done."""
         now = self.clock()
         tracker = self.registry.slo_tracker(lane.model)
+        resolved = failed = 0
         while lane.inflight and lane.inflight[0].inner.done:
             ticket = lane.inflight.popleft()
             ticket._resolve(now, error=ticket.inner.error)
+            resolved += 1
+            failed += ticket.failed
             # SLO accounting uses the outer ticket: its latency includes
             # the intake wait the inner (batcher) ticket cannot see
             if tracker is not None:
@@ -1076,6 +1310,9 @@ class AsyncRouter:
                     tracker.record_ticket(ticket, model=lane.model)
                 except Exception:  # pragma: no cover - obs must not kill the worker
                     pass
+        if resolved:
+            lane.meter.resolved.inc(resolved)
+            lane.meter.failed.inc(failed)
 
     def _abort_pending(self, grabbed) -> None:
         """Fail everything unfinished across every lane."""
@@ -1083,31 +1320,32 @@ class AsyncRouter:
         error = ServeClosedError("router aborted before this request executed")
         for lane, items in grabbed:
             self._sweep(lane)
-            for ticket in items:
-                ticket._resolve(now, error=error)
+            lane.meter.fail(items, now, error)
         with self._lock:
             leftovers = []
             for lane in self._lanes.values():
                 self._sweep(lane)
-                while lane.inflight:
-                    lane.inflight.popleft()._resolve(now, error=error)
-                leftovers.extend(lane.intake)
+                lane.meter.fail(lane.inflight, now, error)
+                lane.inflight.clear()
+                lane.meter.intake.dec(len(lane.intake))
+                leftovers.append((lane, list(lane.intake)))
                 lane.intake.clear()
             self._space.notify_all()
-        for ticket in leftovers:
-            ticket._resolve(now, error=error)
+        for lane, items in leftovers:
+            lane.meter.fail(items, now, error)
 
     # ------------------------------------------------------------- metrics
     @property
     def exec_seconds(self) -> float:
-        return self._exec_seconds
+        """Worker seconds spent packing and executing blocks, all tenants."""
+        return sum(self._exec.values())
 
     def stats(self) -> dict:
         return {
             "registry": self.registry.stats(),
             "on_full": self.on_full,
             "closed": self._closed,
-            "exec_seconds": self._exec_seconds,
+            "exec_seconds": self.exec_seconds,
             "qos": {
                 "policy": self.policy,
                 "scheduler": self.scheduler.stats(),

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -47,6 +49,49 @@ def test_serve(capsys):
     out = capsys.readouterr().out
     assert "served 16/16 requests" in out
     assert "throughput" in out and "latency" in out
+
+
+def _served_rejected(out: str) -> tuple[int, int, int]:
+    match = re.search(r"served (\d+)/(\d+) requests \((\d+) rejected", out)
+    assert match, out
+    return tuple(int(g) for g in match.groups())
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--queue-limit", "2", "--max-wait-ms", "60000"], ["--async-transport"]],
+    ids=["sync", "async"],
+)
+def test_single_benchmark_serve_is_the_one_tenant_router(capsys, extra):
+    """``serve BENCH`` is ``serve --model BENCH=BENCH``: same path, same counts."""
+    common = ["--requests", "12", "--request-cols", "1", "--max-batch", "64", *extra]
+    assert main(["serve", "144-24", *common]) == 0
+    single = capsys.readouterr().out
+    assert main(["serve", "--model", "144-24=144-24", *common]) == 0
+    tenant = capsys.readouterr().out
+    assert _served_rejected(single) == _served_rejected(tenant)
+    if "--async-transport" in extra:
+        assert _served_rejected(single) == (12, 12, 0)
+        assert "[144-24] overlap" in single
+    else:
+        # the sync lane holds 2 requests and never fills a 64-column block
+        assert _served_rejected(single) == (2, 12, 10)
+    for out in (single, tenant):
+        assert "[144-24] batching" in out and "pre_convergence" in out
+
+
+def test_single_benchmark_serve_honours_qos(capsys):
+    assert main(["serve", "144-24", "--requests", "4", "--request-cols", "2",
+                 "--max-batch", "8", "--qos", "144-24=interactive"]) == 0
+    out = capsys.readouterr().out
+    assert "ignored" not in out
+    assert "[144-24] qos interactive w=1: shed 0" in out
+    # a hard column quota sheds: the policy reaches the tenant's admission
+    assert main(["serve", "144-24", "--requests", "4", "--request-cols", "2",
+                 "--max-batch", "8", "--qos", "144-24=batch:rate=1,burst=2"]) == 0
+    out = capsys.readouterr().out
+    assert _served_rejected(out) == (1, 4, 3)
+    assert "shed 3" in out
 
 
 def test_bench_serve(tmp_path, capsys):

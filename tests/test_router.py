@@ -35,8 +35,6 @@ from repro.obs import MetricsRegistry
 from repro.radixnet import benchmark_input, build_benchmark
 from repro.serve import (
     AsyncRouter,
-    AsyncServeReport,
-    InferenceServer,
     EngineSession,
     MicroBatcher,
     ModelRegistry,
@@ -305,6 +303,9 @@ def test_async_router_backpressure_is_per_lane():
     accepted_b = [router.submit("b", req()) for _ in range(2)]
     with pytest.raises(ServeOverflowError, match="lane 'b' full"):
         router.submit("b", req())
+    # each lane's intake rejection is counted on its own tenant's series
+    assert session_a.metrics.snapshot()["serve_rejected_total"] == 1
+    assert session_b.metrics.snapshot()["serve_rejected_total"] == 1
     gate.set()
     assert router.close(drain=True, timeout=WAIT)
     for ticket in [first, *accepted_a, *accepted_b]:
@@ -326,6 +327,44 @@ def test_async_router_unknown_model_fails_synchronously():
         assert np.array_equal(ticket.y, req(2) * 2.0)
 
 
+class SlowRouterSession(FakeRouterSession):
+    """A fake whose every block takes measurable time."""
+
+    def run(self, y0):
+        time.sleep(0.002)
+        return super().run(y0)
+
+
+@pytest.mark.parametrize("router_cls", [Router, AsyncRouter])
+def test_serve_reports_exec_arrival_and_overlap_per_tenant(router_cls):
+    """Both routers fill every tenant's exec, arrival and overlap figures,
+    and the merged summary carries their sums."""
+    registry = ModelRegistry()
+    registry.register("a", session=SlowRouterSession())
+    registry.register("b", session=SlowRouterSession())
+    router = router_cls(registry, max_batch=1, max_wait_s=60.0, queue_limit=16)
+    stream = [("a", req())] * 4 + [("b", req())] * 2
+    report = router.serve(iter(stream), interarrivals=[0.001] * len(stream))
+    for name, blocks in (("a", 4), ("b", 2)):
+        per = report.per_model[name]
+        assert per.status == "ok"
+        assert per.exec_seconds >= 0.002 * blocks
+        assert per.arrival_seconds == pytest.approx(0.001 * blocks)
+        assert 0.0 < per.overlap_fraction <= 1.0
+        summary = per.summary()
+        assert summary["exec_seconds"] == per.exec_seconds
+        assert summary["arrival_seconds"] == per.arrival_seconds
+    merged = report.summary()
+    assert merged["exec_seconds"] == pytest.approx(
+        report.per_model["a"].exec_seconds + report.per_model["b"].exec_seconds
+    )
+    assert merged["arrival_seconds"] == pytest.approx(0.006)
+    assert merged["overlap_fraction"] == pytest.approx(
+        merged["exec_seconds"] / merged["wall_seconds"]
+    )
+    assert merged["failed"] == 0
+
+
 # ----------------------------------------------------- differential isolation
 def _chunked_mixed(streams: dict, chunk: int):
     mixed = []
@@ -340,13 +379,12 @@ def _chunked_mixed(streams: dict, chunk: int):
 
 def _reference_outputs(net, cfg, stream, max_batch):
     net.drop_views()
-    server = InferenceServer(
-        EngineSession(net, cfg),
-        max_batch=max_batch,
-        max_wait_s=60.0,
-        queue_limit=len(stream),
+    registry = ModelRegistry()
+    registry.register("solo", session=EngineSession(net, cfg))
+    router = Router(
+        registry, max_batch=max_batch, max_wait_s=60.0, queue_limit=len(stream)
     )
-    report = server.serve(iter(stream))
+    report = router.serve(("solo", y0) for y0 in stream).per_model["solo"]
     assert report.status == "ok"
     net.drop_views()
     return [t.y for t in report.served]
@@ -491,7 +529,7 @@ def test_router_report_status_merges_without_masking():
 
     shed = ServeReport(rejected=[(0, "full")])
     assert shed.status == "all_rejected"
-    failed = AsyncServeReport(failed=[(0, "boom")])
+    failed = ServeReport(failed=[(0, "boom")])
     assert failed.status == "all_failed"
     # all active tenants turned away -> all_rejected, regardless of how
     assert RouterReport(per_model={"a": shed, "b": failed}).status == "all_rejected"

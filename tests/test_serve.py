@@ -1,4 +1,4 @@
-"""Warm-session serving layer: EngineSession, MicroBatcher, InferenceServer."""
+"""Warm-session serving layer: EngineSession, MicroBatcher, one-tenant Router."""
 
 import json
 
@@ -10,8 +10,10 @@ from repro.harness.experiments.common import sdgc_config
 from repro.radixnet import benchmark_input, build_benchmark
 from repro.serve import (
     EngineSession,
-    InferenceServer,
     MicroBatcher,
+    ModelRegistry,
+    Router,
+    ServeReport,
     bench_serve,
     load_bench_records,
 )
@@ -41,6 +43,18 @@ class FakeClock:
 def make_session(bench) -> EngineSession:
     net, cfg, _ = bench
     return EngineSession(net, cfg)
+
+
+def make_router(session, **kwargs) -> Router:
+    """Single-model serving: a router whose registry holds one tenant, "m"."""
+    registry = ModelRegistry()
+    registry.register("m", session=session)
+    return Router(registry, **kwargs)
+
+
+def serve_stream(router, requests) -> ServeReport:
+    """Serve ``requests`` as tenant "m"; returns its per-tenant report."""
+    return router.serve(("m", y0) for y0 in requests).per_model["m"]
 
 
 # -------------------------------------------------------------- EngineSession
@@ -245,12 +259,12 @@ def test_ticket_access_before_resolution_raises(bench):
         _ = ticket.latency_seconds
 
 
-# ------------------------------------------------------------ InferenceServer
+# ------------------------------------------------------------ one-tenant Router
 def test_server_serves_stream_and_reports(bench):
     net, cfg, y0 = bench
     requests = [y0[:, lo : lo + 2] for lo in range(0, 32, 2)]
-    server = InferenceServer(make_session(bench), max_batch=8, max_wait_s=60.0)
-    report = server.serve(iter(requests))
+    router = make_router(make_session(bench), max_batch=8, max_wait_s=60.0)
+    report = serve_stream(router, requests)
     assert report.requests == len(requests)
     assert len(report.served) == len(requests) and not report.rejected
     assert report.columns == 32
@@ -259,26 +273,24 @@ def test_server_serves_stream_and_reports(bench):
     assert quantiles["p50"] <= quantiles["p95"] <= quantiles["p100"]
     summary = report.summary()
     assert summary["served"] == len(requests)
-    assert server.stats()["batcher"]["batches"] >= 4
+    assert router.lane("m").stats()["batches"] >= 4
 
 
 def test_server_overflow_is_recorded_not_silent(bench):
     net, cfg, y0 = bench
     requests = [y0[:, lo : lo + 1] for lo in range(12)]
     # queue of 2 and a batch the stream can never fill synchronously
-    server = InferenceServer(
-        make_session(bench), max_batch=64, max_wait_s=60.0, queue_limit=2
-    )
-    report = server.serve(iter(requests))
+    session = make_session(bench)
+    router = make_router(session, max_batch=64, max_wait_s=60.0, queue_limit=2)
+    report = serve_stream(router, requests)
     assert len(report.rejected) == 10
+    assert session.metrics.snapshot()["serve_rejected_total"] == 10
     assert all(msg for _, msg in report.rejected)
     assert len(report.served) == 2
     assert all(t.ready for t in report.served)  # drained at end of stream
 
 
 def test_serve_report_status_distinguishes_idle_from_shed(bench):
-    from repro.serve import ServeReport
-
     # no traffic: nothing arrived, so there is no latency distribution at all
     idle = ServeReport(wall_seconds=1.0)
     assert idle.status == "no_traffic"
@@ -299,8 +311,8 @@ def test_serve_report_status_distinguishes_idle_from_shed(bench):
 
 def test_serve_report_status_ok_when_anything_served(bench):
     net, cfg, y0 = bench
-    server = InferenceServer(make_session(bench), max_batch=8, max_wait_s=60.0)
-    report = server.serve(iter([y0[:, :2]]))
+    router = make_router(make_session(bench), max_batch=8, max_wait_s=60.0)
+    report = serve_stream(router, [y0[:, :2]])
     assert report.status == "ok"
     assert report.summary()["status"] == "ok"
     assert report.latency_quantiles() is not None
@@ -308,12 +320,12 @@ def test_serve_report_status_ok_when_anything_served(bench):
 
 def test_server_all_rejected_stream_reports_status(bench):
     net, cfg, y0 = bench
-    server = InferenceServer(
+    router = make_router(
         make_session(bench), max_batch=64, max_wait_s=60.0, queue_limit=1
     )
     # saturate the queue before the stream: every arrival then overflows
-    parked = server.submit(y0[:, :1])
-    report = server.serve(iter(y0[:, :1] for _ in range(3)))
+    parked = router.submit("m", y0[:, :1])
+    report = serve_stream(router, (y0[:, :1] for _ in range(3)))
     assert parked.ready  # end-of-stream drain still resolves the old ticket
     assert report.status == "all_rejected"
     assert len(report.rejected) == 3 and not report.served
@@ -497,8 +509,8 @@ def test_on_resolve_sees_failed_tickets_too():
 # -------------------------------------------------------------- JSON export
 def test_serve_report_to_json_is_json_dumpable(bench):
     net, cfg, y0 = bench
-    server = InferenceServer(make_session(bench), max_batch=8, max_wait_s=60.0)
-    report = server.serve(iter([y0[:, :2], y0[:, 2:4]]))
+    router = make_router(make_session(bench), max_batch=8, max_wait_s=60.0)
+    report = serve_stream(router, [y0[:, :2], y0[:, 2:4]])
     assert report.status == "ok"
     # consumers go through to_json: everything (numpy scalars included)
     # must be plain JSON by the time json.dumps sees it
