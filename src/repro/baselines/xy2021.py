@@ -23,7 +23,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.gpu.device import VirtualDevice
 from repro.inference import InferenceResult
-from repro.kernels import champion_spmm, charge_for
+from repro.kernels import DENSE_WEIGHT_THRESHOLD, champion_spmm, charge_for
 from repro.network import SparseNetwork
 from repro.sparse.spmm import (
     spmm_colwise,
@@ -73,7 +73,7 @@ class XY2021:
     def _candidates(self, i: int) -> tuple[str, ...]:
         # materializing a dense W only pays off for the medium-scale layers;
         # for SDGC-sparse weights the colwise point of the space is pruned
-        if self.network.layers[i].weight.density >= 0.2:
+        if self.network.layers[i].weight.density >= DENSE_WEIGHT_THRESHOLD:
             return _STRATEGIES
         return tuple(s for s in _STRATEGIES if s != "colwise")
 

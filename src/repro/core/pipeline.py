@@ -82,9 +82,9 @@ class SNICIT:
         Optional :class:`~repro.core.plan.StrategyPlan` baked at session
         warmup.  When set, every spMM dispatch goes through the plan's
         frozen per-layer decision instead of the memoized champion — a tuple
-        index instead of a memo lookup per layer.  Strategy choice never
-        changes results (all spMM kernels accumulate identically), so a
-        planned engine stays bitwise identical to an unplanned one.
+        index instead of a memo lookup per layer.  The plan makes the same
+        per-block choice as the champion rules, so a planned engine stays
+        bitwise identical to an unplanned one without a memo.
     """
 
     name = "SNICIT"

@@ -20,9 +20,12 @@ the decision in the hot path.
 * the **pinned view** for that choice (dense or ELL), so the first hot block
   never pays a lazy conversion.
 
-Strategy choice is purely a performance decision: every spMM kernel in
-:mod:`repro.sparse.spmm` accumulates in the same per-element order, so a
-planned engine is bitwise identical to the memo/champion engine (tested).
+The plan applies the champion rules exactly — the same strategy and the
+same format for every block — so a planned engine calls the same kernel on
+the same operands as the champion engine and is bitwise identical to it
+(tested).  That identity comes from making the same choice, not from the
+kernels agreeing: the strategies differ in summation order (see
+:mod:`repro.sparse.spmm`).
 """
 
 from __future__ import annotations
@@ -109,8 +112,8 @@ class StrategyPlan:
         re-derived from the same static champion rules :func:`bake_plan`
         used (re-pinning its view), and :attr:`revisions` counts the event.
         Re-derivation is deterministic in the network alone, so a revision
-        can refresh a decision but never change outputs — the bitwise
-        guarantee survives the autotune loop.
+        lands on the decision the bake made and never changes outputs — the
+        bitwise guarantee survives the autotune loop.
         """
         self._memo = memo
         return self

@@ -102,7 +102,9 @@ class CostModel:
     _h2d: float = field(default=0.0, init=False)
     _d2h: float = field(default=0.0, init=False)
     _modeled_seconds: float = field(default=0.0, init=False)
-    _history: list[KernelCharge] = field(default_factory=list, init=False)
+    #: launches per kernel name; bounded by the number of distinct kernels,
+    #: so a warm session's ledger stays the same size however long it runs
+    _launches_by_name: dict[str, int] = field(default_factory=dict, init=False)
 
     def kernel_time(self, charge: KernelCharge) -> float:
         """Modeled latency of a single kernel launch (roofline + overhead)."""
@@ -120,7 +122,7 @@ class CostModel:
         self._atomics += charge.atomics
         self._barriers += charge.barriers
         self._modeled_seconds += seconds
-        self._history.append(charge)
+        self._launches_by_name[charge.name] = self._launches_by_name.get(charge.name, 0) + 1
         return seconds
 
     def charge_h2d(self, nbytes: float) -> float:
@@ -159,11 +161,12 @@ class CostModel:
         self._h2d = 0.0
         self._d2h = 0.0
         self._modeled_seconds = 0.0
-        self._history.clear()
+        self._launches_by_name.clear()
 
     @property
-    def history(self) -> tuple[KernelCharge, ...]:
-        return tuple(self._history)
+    def launch_counts(self) -> dict[str, int]:
+        """Launches recorded per kernel name, in first-launch order."""
+        return dict(self._launches_by_name)
 
     @property
     def modeled_seconds(self) -> float:

@@ -9,7 +9,10 @@ effective choice per layer:
   column-masked kernel :func:`~repro.sparse.spmm.spmm_masked`, whose work
   scales with the *live* rows;
 * otherwise use the ELLPACK kernel, the fastest dense-activation strategy
-  for fixed fan-in.
+  for fixed fan-in;
+* for dense-ish weights (density >= :data:`DENSE_WEIGHT_THRESHOLD`) use the
+  column-independent stacked-GEMV kernel
+  :func:`~repro.sparse.spmm.spmm_colwise` on the pinned dense view.
 
 SNICIT §3.1/§3.3.1 states it adopts the champions' kernels for both its
 pre-convergence and load-reduced spMM stages, so this module is used by the
@@ -46,9 +49,9 @@ __all__ = [
 #: Above this live-row fraction, masking overhead outweighs the skipped work.
 LIVE_ROW_THRESHOLD = 0.6
 
-#: Above this weight density the layer counts as "dense-ish" (medium-scale
-#: 50-60 % layers) and the activation-driven column-wise kernel — BF-2019's
-#: kernel shape, which the paper adopts for its medium experiments — wins.
+#: At or above this weight density the layer counts as "dense-ish"
+#: (medium-scale 50-60 % layers, and the 32/144 = 0.22 fan-in of 144-neuron
+#: SDGC nets) and runs the dense-weight stacked-GEMV kernel.
 DENSE_WEIGHT_THRESHOLD = 0.2
 
 
@@ -76,12 +79,13 @@ class StrategyMemo:
     When the EWMA drifts past ``baseline * revise_ratio`` the recorded
     choice is dropped, forcing the next call through the champion tournament
     again, and the cost record resets so the new champion earns a fresh
-    baseline.  Revision only ever discards a *decision* — every candidate
-    kernel accumulates in the same per-element order (the format half of the
-    decision is static per layer), so outputs are bitwise unaffected; only
-    the ``strategy_revised_total`` counter moves.  Cost records persist
-    through :meth:`export_state`/:meth:`import_state` so a restored session
-    resumes with the baselines it measured, not a blank slate.
+    baseline.  Revision only ever discards a *decision*; the format half of
+    the decision is static per layer.  The strategies do not share one
+    summation order (see :mod:`repro.sparse.spmm`), so a replayed or
+    re-derived masked-vs-batch-parallel choice can move results within
+    float32 rounding.  Cost records persist through
+    :meth:`export_state`/:meth:`import_state` so a restored session resumes
+    with the baselines it measured, not a blank slate.
     """
 
     def __init__(
@@ -301,7 +305,7 @@ def champion_spmm(
         frac = 1.0
     else:
         live = (y != 0).any(axis=1)
-        frac = float(live.mean()) if live.size else 0.0
+        frac = np.count_nonzero(live) / live.size if live.size else 0.0
     strategy = memo.lookup(i, frac, network=net) if memo is not None else None
     if strategy is None:
         if dense_ish:
@@ -310,9 +314,9 @@ def champion_spmm(
             strategy = "masked"
         else:
             # same format rule the baked plan uses, so a cold champion
-            # engine and a warm planned session accumulate identically
+            # engine and a warm planned session call the same kernel
             # (ELL and CSR row-split sum in different orders, so the
-            # format choice — unlike the strategy choice — changes bits)
+            # format choice changes bits, as the strategy choice does)
             strategy = preferred_spmm_format(layer.weight)
         if memo is not None:
             memo.record(i, frac, strategy, network=net)
@@ -350,8 +354,10 @@ def planned_spmm(
     class and sparse format were decided once at warmup, so the per-block
     work is a field read (plus the unavoidable live-row scan for dynamic
     layers, whose masked-vs-batch-parallel choice genuinely depends on the
-    activations).  Bitwise-identical results — every kernel here accumulates
-    in the same per-element order.  Returns ``(z, work, strategy, frac)``;
+    activations).  It applies :func:`champion_spmm`'s rules (same strategy,
+    same format), so without a memo the two call the same kernel on the
+    same operands and return the same bits.  Returns
+    ``(z, work, strategy, frac)``;
     the extra live-fraction element (vs :func:`champion_spmm`'s 3-tuple)
     lets :meth:`~repro.core.plan.StrategyPlan.dispatch` feed the
     measure-and-revise memo without paying a second live-row scan.
@@ -361,7 +367,7 @@ def planned_spmm(
         return z, nnz, "colwise", 1.0
     layer = net.layers[lp.index]
     live = (y != 0).any(axis=1)
-    frac = float(live.mean()) if live.size else 0.0
+    frac = np.count_nonzero(live) / live.size if live.size else 0.0
     if frac < lp.live_threshold:
         z, active_nnz = spmm_masked(layer.weight, y, live, out=out)
         return z, active_nnz, "masked", frac
@@ -375,9 +381,9 @@ def planned_spmm(
 def baseline_spmm(net: SparseNetwork, i: int, y: np.ndarray) -> tuple[np.ndarray, int, str]:
     """The BF-2019 / SNIG-2020 kernel: plain per-topology strategy.
 
-    ELL for the fixed-fan-in Radix-Net layers, the activation-driven
-    column-wise kernel for dense-ish (medium-scale) layers.  No live-row
-    masking — that refinement belongs to XY's optimization space.
+    ELL for the fixed-fan-in Radix-Net layers, the stacked-GEMV kernel for
+    dense-ish (medium-scale) layers.  No live-row masking — that refinement
+    belongs to XY's optimization space.
     """
     layer = net.layers[i]
     if layer.weight.density >= DENSE_WEIGHT_THRESHOLD:

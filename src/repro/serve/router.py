@@ -634,8 +634,10 @@ class Router:
     blocks never mix tenants; a full lane rejects with
     :class:`~repro.errors.ServeOverflowError`, counted per tenant in
     ``serve_rejected_total``.  Single-model serving is a registry with one
-    tenant.  After every flush opportunity the registry's memory budget is
-    enforced, protecting the tenant that just served.
+    tenant.  After every flushed block the registry's memory budget is
+    enforced, protecting the tenant that just served: warm state only
+    changes when a block runs (or at registration, which enforces too), so
+    a submit that flushes nothing skips the per-session footprint walk.
 
     Which lane flushes next is decided by a
     :class:`~repro.serve.qos.DeficitScheduler` under ``policy='qos'``
@@ -745,7 +747,6 @@ class Router:
         ticket = lane.enqueue(y0)
         self._service()
         self.registry.touch(model)
-        self.registry.enforce(protect={model})
         return ticket
 
     def pending_requests(self) -> int:

@@ -2,8 +2,8 @@
 
 Every engine in this repo ultimately computes ``W @ Y`` where ``W`` is a
 sparse ``(N_out, N_in)`` weight matrix and ``Y`` is a dense ``(N_in, B)``
-activation block.  Four strategies are provided, mirroring the kernel design
-space that XY-2021 searches:
+activation block.  The strategies mirror the kernel design space that XY-2021
+searches:
 
 ``spmm_reduceat``
     Row-split CSR: expand each nonzero's contribution row of ``Y`` and
@@ -20,10 +20,27 @@ space that XY-2021 searches:
     before multiplying.  This is simultaneously BF-2019's active-row
     compaction and SNICIT's load-reduced spMM (§3.3.1): work scales with the
     *active* input rows, not with N.
+``spmm_colwise``
+    Dense-weight stacked GEMV for dense-ish layers: one BLAS matrix-vector
+    product per column of ``Y``.
 
-All kernels accumulate in the dtype of ``Y`` and sum each output element in
-ascending column-index order, so different strategies produce bitwise
-identical results for the same operands (tested).
+All kernels return ``W @ Y`` in the dtype of ``Y``, but they do not share one
+summation order, so different strategies agree only to rounding.  What
+does hold bitwise (tested):
+
+* ``spmm_ell`` adds each output element sequentially, in ascending column
+  order of W's nonzeros, so every output column depends on its own input
+  column alone.
+* ``spmm_colwise`` is column-independent: column ``j`` of the result is the
+  same whether ``Y[:, j]`` is multiplied alone or inside a block of any
+  width.
+* ``spmm_tiled`` equals ``spmm_reduceat`` for every tile width.
+
+``spmm_reduceat`` and ``spmm_masked`` sum through ``np.add.reduceat``, whose
+order is numpy's, not sequential.  ``spmm_masked`` drops the nonzeros of
+rows that are dead across the whole block, which changes the segment
+lengths and with them the order, so a column's result can depend on the
+other columns in its block.
 """
 
 from __future__ import annotations
@@ -46,12 +63,11 @@ __all__ = [
     "spmm_charge",
 ]
 
-#: Cap (elements) on the nnz-by-B scratch block built by the chunked kernels.
+#: Cap (elements) on the nnz-by-B scratch block built by ``spmm_reduceat``.
 #: Sized so the contrib block stays L2-resident (512 KiB at float32): letting
 #: it grow to DRAM scale makes ``np.add.reduceat`` memory-bound and costs
 #: 2-4x wall time at batch >= 64 for the same element work.  Chunk boundaries
-#: always align with whole rows/columns, so the budget never changes the
-#: per-element accumulation order — results stay bitwise identical.
+#: always align with whole rows, so each row's segment sum is unchanged.
 _SCRATCH_ELEMENTS = 131_072
 
 
@@ -162,50 +178,34 @@ def spmm_masked(
 def spmm_colwise(
     w_dense: np.ndarray, y: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, int]:
-    """Activation-driven spMM: work scales with ``nnz(Y)``, not with N x B.
+    """Dense-weight spMM as a stack of GEMVs: one ``W @ Y[:, j]`` per column.
 
-    This is BF-2019's kernel shape for dense-ish weights (the paper adopts
-    BF's kernels for its medium-scale experiments, §4.2.1): each nonzero
-    activation entry ``Y[i, j]`` scatters ``W[:, i] * Y[i, j]`` into output
-    column ``j``.  Column-major pair ordering keeps per-column contributions
-    contiguous so a segment sum finishes each column.
+    The kernel for dense-ish weights (the paper adopts BF-2019's kernels for
+    its medium-scale experiments, §4.2.1).  ``np.matmul`` over the
+    ``(B, N_in, 1)`` stack of columns issues one BLAS matrix-vector product
+    per column, so column ``j`` of the result is bitwise the same whether it
+    is computed alone or inside a block of any width.  A plain ``W @ Y``
+    sgemm is faster but not column-independent: its blocking changes the
+    accumulation order with the batch width.
 
     Returns ``(out, nnz)`` where ``nnz`` is the number of activation
-    nonzeros processed (the cost-model work unit: each costs one W-column
-    FMA pass).
+    nonzeros — the cost-model work unit of BF-2019's activation-driven
+    kernel (each costs one W-column FMA pass).
     """
     w_dense = np.asarray(w_dense)
     if w_dense.ndim != 2:
         raise ShapeError("W must be a dense 2-D array")
     _check_operands(w_dense.shape, y)
-    n_out = w_dense.shape[0]
-    b = y.shape[1]
     if out is None:
-        out = np.empty((n_out, b), dtype=y.dtype)
-    cols, rows = np.nonzero(y.T)  # sorted by column, then row
-    nnz = len(cols)
+        out = np.empty((w_dense.shape[0], y.shape[1]), dtype=y.dtype)
+    nnz = int(np.count_nonzero(y))
     if nnz == 0:
         out[...] = 0
         return out, 0
-    vals = y[rows, cols]
-    counts = np.bincount(cols, minlength=b)
-    indptr = np.zeros(b + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    w_t = w_dense.T  # (N_in, N_out); row gather keeps memory access contiguous
-    pairs_per_chunk = max(1, _SCRATCH_ELEMENTS // max(1, n_out))
-    acc = np.empty((b, n_out), dtype=y.dtype)
-    # chunk along whole columns so each segment stays within one chunk
-    col_lo = 0
-    while col_lo < b:
-        col_hi = col_lo + 1
-        while col_hi < b and indptr[col_hi + 1] - indptr[col_lo] <= pairs_per_chunk:
-            col_hi += 1
-        lo, hi = indptr[col_lo], indptr[col_hi]
-        contrib = w_t[rows[lo:hi]] * vals[lo:hi, None]
-        local_indptr = indptr[col_lo : col_hi + 1] - lo
-        acc[col_lo:col_hi] = _segment_sum(contrib, local_indptr, col_hi - col_lo)
-        col_lo = col_hi
-    out[...] = acc.T
+    # contiguous columns: every GEMV then sees a unit-stride vector, as a
+    # solo call does (BLAS takes a different path for strided vectors)
+    columns = np.ascontiguousarray(y.T)[:, :, None]
+    out[...] = np.matmul(w_dense, columns)[:, :, 0].T
     return out, nnz
 
 

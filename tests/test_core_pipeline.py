@@ -77,7 +77,7 @@ def test_degenerate_threshold_skips_stages_2_to_4(bench):
     assert len(res.stats["active_columns_trace"]) == 0
 
     # cost model saw nothing but pre-convergence spMM kernels
-    assert {c.name for c in dev.cost.history} == {"pre_spmm"}
+    assert set(dev.cost.launch_counts) == {"pre_spmm"}
     for stage in ("conversion", "post_convergence", "recovery"):
         assert res.stage_seconds[stage] == 0.0
         snap = res.modeled[stage]

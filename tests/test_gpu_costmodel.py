@@ -55,14 +55,16 @@ def test_reset_clears_everything():
     assert snap.launches == 0
     assert snap.flops == 0
     assert snap.modeled_seconds == 0
-    assert cm.history == ()
+    assert cm.launch_counts == {}
 
 
-def test_history_records_charges_in_order():
+def test_launch_counts_per_kernel_name():
     cm = CostModel()
     cm.charge_kernel(KernelCharge(name="first"))
     cm.charge_kernel(KernelCharge(name="second"))
-    assert [c.name for c in cm.history] == ["first", "second"]
+    cm.charge_kernel(KernelCharge(name="first"))
+    assert cm.launch_counts == {"first": 2, "second": 1}
+    assert list(cm.launch_counts) == ["first", "second"]  # first-launch order
 
 
 def test_snapshot_bytes_total():

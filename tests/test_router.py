@@ -259,6 +259,32 @@ def test_registry_enforce_skips_already_cold_sessions():
     assert registry.enforce() == []
 
 
+class CountingSession(FakeRouterSession):
+    """Fake session that counts footprint reads (the cost of ``enforce``)."""
+
+    footprint_reads = 0
+
+    def retained_nbytes(self) -> int:
+        self.footprint_reads += 1
+        return super().retained_nbytes()
+
+
+def test_router_enforces_budget_only_after_a_flush():
+    """A submit that flushes nothing must not walk the sessions' footprints;
+    the block that does flush is enforced and certifies the high-water."""
+    session = CountingSession(warm_bytes=100)
+    registry = ModelRegistry(memory_budget_bytes=1000)
+    registry.register("m", session=session)
+    router = Router(registry, max_batch=64, max_wait_s=60.0, queue_limit=64)
+    session.footprint_reads = 0
+    for _ in range(20):
+        router.submit("m", req())
+    assert session.calls == 0 and session.footprint_reads == 0
+    assert router.drain() == 1
+    assert session.footprint_reads > 0  # the flush enforced
+    assert registry.budget.highwater_bytes == 100
+
+
 # --------------------------------------------------------- sync router (fake)
 def test_sync_router_routes_by_name_and_rejects_per_lane():
     registry = ModelRegistry()

@@ -117,6 +117,61 @@ def test_session_demote_drops_plan_and_rewarm_restores(bench):
     assert np.array_equal(session.run(y0).y, reference.y)
 
 
+def test_session_cost_ledger_stays_bounded_over_warm_blocks(bench):
+    """Regression: the cost model kept every KernelCharge it was handed, so
+    a warm session's ledger (and its RSS) grew with every block served."""
+    import sys
+
+    _, _, y0 = bench
+    session = make_session(bench)
+    cost = session.engine.device.cost
+
+    def retained_size() -> int:
+        return sum(
+            sys.getsizeof(v)
+            for v in vars(cost).values()
+            if isinstance(v, (list, tuple, dict, set))
+        )
+
+    block = y0[:, :8]
+    session.run(block)
+    size, launches = retained_size(), cost.snapshot().launches
+    for _ in range(200):
+        session.run(block)
+    assert cost.snapshot().launches > launches  # every block was charged
+    assert retained_size() == size
+
+
+def test_session_column_solo_bitwise_equals_in_block(bench):
+    """Every 144-24 layer is dense-ish (32/144 >= the dense threshold), so
+    every spMM runs the column-independent stacked-GEMV kernel: at prune 0 a
+    1-column request reproduces its column of a 64-column block bitwise
+    wherever the engine does not compress that column."""
+    net, _, y0 = bench
+    plain = EngineSession(
+        net,
+        sdgc_config(net.num_layers, prune_threshold=0.0, threshold_layer=net.num_layers),
+    )
+    block = plain.run(y0).y.copy()
+    for j in range(y0.shape[1]):
+        assert np.array_equal(plain.run(y0[:, j : j + 1]).y[:, 0], block[:, j])
+
+    # with compression a centroid column still only meets its own values;
+    # a residue column is recovered as W@c + W@r instead of W@(c + r), which
+    # is lossless at prune 0 up to float32 rounding, not bitwise
+    session = EngineSession(net, sdgc_config(net.num_layers, prune_threshold=0.0))
+    res = session.run(y0)
+    block = res.y.copy()
+    centroids = set(res.stats["centroid_cols"].tolist())
+    assert 0 < len(centroids) < y0.shape[1]
+    for j in range(y0.shape[1]):
+        solo = session.run(y0[:, j : j + 1]).y[:, 0]
+        if j in centroids:
+            assert np.array_equal(solo, block[:, j])
+        else:
+            assert np.allclose(solo, block[:, j], rtol=0, atol=1e-4)
+
+
 def test_session_centroid_reuse_lifecycle(bench):
     net, cfg, y0 = bench
     session = EngineSession(net, cfg, centroid_reuse=True, reuse_tolerance=0.0)

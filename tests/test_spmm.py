@@ -135,15 +135,56 @@ def test_colwise_empty_y(rng):
     assert nnz == 0 and (out == 0).all()
 
 
-def test_colwise_chunking_consistent(rng, monkeypatch):
-    import importlib
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_out=st.integers(1, 160),
+    n_in=st.integers(1, 160),
+    b=st.integers(1, 64),
+    w_density=st.floats(0.05, 1.0),
+    data=st.data(),
+)
+def test_colwise_is_column_independent_property(seed, n_out, n_in, b, w_density, data):
+    """Column ``j`` of the stacked-GEMV kernel is bitwise the same alone as
+    inside a block of any width, and equals ``W @ Y`` to float32 rounding."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((n_out, n_in)).astype(np.float32)
+    w[rng.random((n_out, n_in)) > w_density] = 0.0
+    y = rng.random((n_in, b)).astype(np.float32)
+    y[rng.random((n_in, b)) < 0.5] = 0.0
+    block, _ = spmm_colwise(w, y)
+    j = data.draw(st.integers(0, b - 1), label="column")
+    solo, _ = spmm_colwise(w, np.ascontiguousarray(y[:, j : j + 1]))
+    assert np.array_equal(solo[:, 0], block[:, j])
+    assert np.allclose(block, w @ y, rtol=1e-5, atol=1e-4)
 
-    m = importlib.import_module("repro.sparse.spmm")
-    w, _, y = make_operands(rng, n_out=30, n_in=20, b=40, w_density=1.0)
-    full, _ = spmm_colwise(w, y)
-    monkeypatch.setattr(m, "_SCRATCH_ELEMENTS", 128)
-    chunked, _ = spmm_colwise(w, y)
-    assert np.allclose(full, chunked, atol=1e-6)
+
+def test_colwise_out_buffer(rng):
+    w, _, y = make_operands(rng, w_density=1.0)
+    out = np.full((w.shape[0], y.shape[1]), 7.0, dtype=np.float32)
+    result, _ = spmm_colwise(w, y, out=out)
+    assert result is out
+    assert np.allclose(out, w @ y, atol=1e-5)
+
+
+def test_ell_equals_sequential_accumulation(rng):
+    """ELL adds each output element in ascending column order of W's
+    nonzeros, one float32 add at a time — so it is also column-independent."""
+    n = 96
+    w = rng.standard_normal((n, n)).astype(np.float32)
+    w[rng.random((n, n)) > 0.25] = 0.0
+    y = rng.random((n, 16)).astype(np.float32)
+    y[rng.random((n, 16)) < 0.5] = 0.0
+    seq = np.zeros((n, y.shape[1]), dtype=np.float32)
+    for r in range(n):
+        for c in np.flatnonzero(w[r]):
+            seq[r] = seq[r] + w[r, c] * y[c]
+    w_ell = ELLMatrix.from_csr(CSRMatrix.from_dense(w))
+    block = spmm_ell(w_ell, y)
+    assert np.array_equal(block, seq)
+    for j in (0, 7, 15):
+        solo = spmm_ell(w_ell, np.ascontiguousarray(y[:, j : j + 1]))
+        assert np.array_equal(solo[:, 0], block[:, j])
 
 
 def test_colwise_work_scales_with_activation_nnz(rng):
